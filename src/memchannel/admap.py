@@ -16,7 +16,7 @@ The undamped limit is h = cos(lam tau_p).
 Also provided: the quantum capacity Q and the product-encoding classical
 capacity C1 of the amplitude-damping channel (single-letter formulas,
 valid because the channel is degradable), and the resulting analytic
-single-use map used as an oracle for the integrator.
+single-use map used as an oracle for the exact window maps.
 """
 
 from __future__ import annotations
@@ -128,9 +128,21 @@ def apply_ad_channel(channel: AmplitudeDampingChannel, rho: DensityMatrix) -> De
     return DensityMatrix(out, rho.layout)
 
 
-def _golden_section_max(
-    f: Callable[[float], float], a: float, b: float, xtol: float
-) -> tuple[float, float]:
+def golden_section_max(
+    f: Callable[[float], float], lo: float, hi: float, coarse: float, xtol: float
+) -> tuple[float, float, float, float]:
+    """Coarse grid on [lo, hi], then golden section around its best point.
+
+    Unimodality of the objectives is not guaranteed a priori, so the grid
+    brackets the global maximum before refining.  Returns the best grid
+    point, its value and the final bracket (a, b) with b - a <= xtol;
+    callers pick the answer from these by their own tie rule.
+    """
+    grid = np.arange(lo, hi + coarse / 2, coarse)
+    vals = np.array([f(x) for x in grid])
+    i = int(np.argmax(vals))
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, len(grid) - 1)]
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -144,23 +156,17 @@ def _golden_section_max(
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return grid[i], vals[i], a, b
 
 
 def _maximize_on_unit_interval(
     f: Callable[[float], float], coarse_step: float, xtol: float
 ) -> tuple[float, float]:
-    # coarse grid first: unimodality of the capacity objectives is not
-    # guaranteed a priori, so bracket the global maximum before refining
-    grid = np.arange(0.0, 1.0 + coarse_step / 2, coarse_step)
-    vals = np.array([f(p) for p in grid])
-    i = int(np.argmax(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    x, v = _golden_section_max(f, a, b, xtol)
-    if v < vals[i]:  # refinement never beats the grid point it brackets
-        return float(grid[i]), float(vals[i])
+    p_grid, v_grid, a, b = golden_section_max(f, 0.0, 1.0, coarse_step, xtol)
+    x = 0.5 * (a + b)
+    v = f(x)
+    if v < v_grid:  # refinement never beats the grid point it brackets
+        return float(p_grid), float(v_grid)
     return float(x), float(v)
 
 
@@ -205,7 +211,7 @@ def analytic_single_use(
 
     This is the exact solution of the damped Jaynes-Cummings master
     equation restricted to the one-excitation subspace, and serves as an
-    independent oracle for the Runge-Kutta integrator.
+    independent oracle for the exact window maps of ``dynamics``.
     """
     if rho_in.dim != 2:
         raise ValueError("analytic_single_use expects a single-qubit state")

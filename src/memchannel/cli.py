@@ -15,7 +15,6 @@ import argparse
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -110,6 +109,7 @@ _PARSERS: dict[str, Callable[[str], object]] = {
 
 _SCHEDULE_KEYS = ("lambda", "tau_p", "gamma", "n_uses", "fock_cutoff", "dt", "idle_dt")
 _COMMON = ("experiment", "output")
+_TWO_USE_KINDS = ("coherent-sweep", "holevo-sweep", "optimize", "theta-sweep", "dephasing")
 
 _ALLOWED: dict[str, tuple[str, ...]] = {
     "eta-curve": _COMMON + ("lambda", "tau_p", "gamma_grid"),
@@ -221,6 +221,8 @@ def _validate_physics(kind: str | None, v: dict) -> list[str]:
     n_uses = v.get("n_uses", 2)
     if n_uses < 1:
         errors.append("n_uses must be at least 1")
+    if kind in _TWO_USE_KINDS and n_uses != 2:
+        errors.append(f"experiment {kind!r} reports two-use quantities; n_uses must be 2")
     if "fock_cutoff" in v and v["fock_cutoff"] < n_uses:
         errors.append(
             f"fock_cutoff={v['fock_cutoff']} < n_uses={n_uses}: up to one excitation "
@@ -231,6 +233,8 @@ def _validate_physics(kind: str | None, v: dict) -> list[str]:
     for key in ("p", "p_tilde"):
         if key in v and not 0 <= v[key] <= 1:
             errors.append(f"{key} must lie in [0, 1]")
+    if kind == "theta-sweep" and not 0 < v.get("p_tilde", 0.5) < 1:
+        errors.append("p_tilde must lie in (0, 1) for theta-sweep (at 0 or 1 the codewords coincide)")
     if "p_grid" in v and any(not 0 <= p <= 1 for p in v["p_grid"]):
         errors.append("p_grid values must lie in [0, 1]")
     if "quantity" in v and v["quantity"] not in ("coherent", "holevo"):
@@ -282,15 +286,7 @@ def _schedule_columns(sched: ChannelSchedule) -> dict:
     }
 
 
-def _map_points(fn, points, threads: int):
-    """Order-preserving map over grid points, optionally threaded."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, points))
-    return [fn(pt) for pt in points]
-
-
-def _sweep_rows(config: ExperimentConfig, threads: int, dt_override, coherent: bool):
+def _sweep_rows(config: ExperimentConfig, dt_override, coherent: bool):
     v = config.values
     base = config.schedule(dt_override=dt_override)
     offsets = v.get("tau_offsets", list(np.arange(0.0, 10.125, 0.25)))
@@ -307,7 +303,7 @@ def _sweep_rows(config: ExperimentConfig, threads: int, dt_override, coherent: b
         except Exception as exc:  # keep the sweep's other points
             return None, f"{type(exc).__name__}: {exc}"
 
-    results = _map_points(one, taus, threads)
+    results = [one(tau) for tau in taus]
     rows, summary, failed = [], [], 0
     good: list[experiments.SweepRecord] = []
     for tau, (rec, err) in zip(taus, results):
@@ -375,7 +371,7 @@ def _sweep_rows(config: ExperimentConfig, threads: int, dt_override, coherent: b
     return rows, summary, failed
 
 
-def _optimize_rows(config: ExperimentConfig, threads: int, dt_override):
+def _optimize_rows(config: ExperimentConfig, dt_override):
     v = config.values
     base = config.schedule(dt_override=dt_override)
     offsets = v.get("tau_offsets", list(np.arange(0.0, 10.125, 0.25)))
@@ -395,7 +391,7 @@ def _optimize_rows(config: ExperimentConfig, threads: int, dt_override):
         except Exception as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    results = _map_points(one, taus, threads)
+    results = [one(tau) for tau in taus]
     rows, failed = [], 0
     for tau, (res, err) in zip(taus, results):
         sched = replace(base, tau=tau)
@@ -423,7 +419,7 @@ def _optimize_rows(config: ExperimentConfig, threads: int, dt_override):
     return rows, summary, failed
 
 
-def _theta_rows(config: ExperimentConfig, threads: int, dt_override):
+def _theta_rows(config: ExperimentConfig, dt_override):
     v = config.values
     base = config.schedule(dt_override=dt_override)
     theta_grid = v.get("theta_grid")
@@ -450,7 +446,7 @@ def _theta_rows(config: ExperimentConfig, threads: int, dt_override):
     return rows, summary, 0
 
 
-def _dephasing_rows(config: ExperimentConfig, threads: int, dt_override):
+def _dephasing_rows(config: ExperimentConfig, dt_override):
     v = config.values
     base = config.schedule(dt_override=dt_override)
     quantity = v["quantity"]
@@ -467,7 +463,7 @@ def _dephasing_rows(config: ExperimentConfig, threads: int, dt_override):
         except Exception as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    results = _map_points(one, taus, threads)
+    results = [one(tau) for tau in taus]
     rows, failed = [], 0
     pairs = []
     for tau, (pair, err) in zip(taus, results):
@@ -517,7 +513,7 @@ def _dephasing_rows(config: ExperimentConfig, threads: int, dt_override):
     return rows, summary, failed
 
 
-def _forgetfulness_rows(config: ExperimentConfig, threads: int, dt_override):
+def _forgetfulness_rows(config: ExperimentConfig, dt_override):
     v = config.values
     base = config.schedule(dt_override=dt_override)
     l_grid = [int(l) for l in v.get("l_grid", list(range(9)))]
@@ -548,7 +544,7 @@ def _forgetfulness_rows(config: ExperimentConfig, threads: int, dt_override):
     return rows, summary, 0
 
 
-def _blocking_rows(config: ExperimentConfig, threads: int, dt_override):
+def _blocking_rows(config: ExperimentConfig, dt_override):
     v = config.values
     base = config.schedule(dt_override=dt_override)
     p_grid = v.get("p_grid", [0.5])
@@ -584,7 +580,7 @@ def _blocking_rows(config: ExperimentConfig, threads: int, dt_override):
     return rows, summary, failed
 
 
-def _eta_curve_rows(config: ExperimentConfig, threads: int, dt_override):
+def _eta_curve_rows(config: ExperimentConfig, dt_override):
     v = config.values
     rows = []
     for gamma in v["gamma_grid"]:
@@ -601,7 +597,7 @@ def _eta_curve_rows(config: ExperimentConfig, threads: int, dt_override):
     return rows, [], 0
 
 
-def _capacity_rows(config: ExperimentConfig, threads: int, dt_override):
+def _capacity_rows(config: ExperimentConfig, dt_override):
     rows = []
     for eta in config.values["eta_grid"]:
         q, p_q = admap.memoryless_Q(eta)
@@ -615,8 +611,8 @@ def _capacity_rows(config: ExperimentConfig, threads: int, dt_override):
 _DRIVERS = {
     "eta-curve": _eta_curve_rows,
     "capacity": _capacity_rows,
-    "coherent-sweep": lambda c, t, d: _sweep_rows(c, t, d, coherent=True),
-    "holevo-sweep": lambda c, t, d: _sweep_rows(c, t, d, coherent=False),
+    "coherent-sweep": lambda c, d: _sweep_rows(c, d, coherent=True),
+    "holevo-sweep": lambda c, d: _sweep_rows(c, d, coherent=False),
     "optimize": _optimize_rows,
     "theta-sweep": _theta_rows,
     "dephasing": _dephasing_rows,
@@ -635,10 +631,16 @@ def run(
     threads: int = 1,
     dt_override: float | None = None,
 ) -> int:
-    """Execute one experiment; write CSV and summary; return exit status."""
+    """Execute one experiment; write CSV and summary; return exit status.
+
+    Grid points run one after another.  ``threads`` is accepted for
+    compatibility and no longer parallelises: with one exact map per
+    window a point takes milliseconds, and a thread pool only slowed the
+    sweeps down.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows, summary, failed = _DRIVERS[config.kind](config, threads, dt_override)
+    rows, summary, failed = _DRIVERS[config.kind](config, dt_override)
 
     name = config.get("output", f"{config.kind}.csv")
     csv_path = outdir / name
@@ -704,8 +706,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         p.add_argument("--config", required=False, help="path to a config file")
         p.add_argument("--preset", required=False, help="name of a shipped preset config")
         p.add_argument("--outdir", default=".", help="directory for CSV and summary output")
-        p.add_argument("--threads", type=int, default=1, help="grid evaluation thread count")
-        p.add_argument("--dt", type=float, default=None, help="override the integrator step")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; grid points always run serially")
+        p.add_argument("--dt", type=float, default=None,
+                       help="override the recorded dt column (windows are exact maps, not steps)")
 
     for kind in KINDS:
         add_run_flags(sub.add_parser(kind, help=f"run a {kind} experiment"))
@@ -717,7 +721,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     pre.add_argument("--show", help="print the named preset config")
 
     args = parser.parse_args(argv)
+    try:
+        return _command(args)
+    except ConfigError as exc:
+        print(f"invalid config:\n{exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # unreadable config, unknown preset, failed run: one line
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
+
+def _command(args: argparse.Namespace) -> int:
     if args.command == "presets":
         if args.show:
             print(preset_text(args.show), end="")
@@ -727,11 +741,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "validate":
-        try:
-            config = parse_config(Path(args.config).read_text())
-        except ConfigError as exc:
-            print(f"invalid config:\n{exc}", file=sys.stderr)
-            return 1
+        config = parse_config(Path(args.config).read_text())
         print(f"valid {config.kind} config")
         return 0
 
@@ -739,11 +749,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("provide exactly one of --config or --preset", file=sys.stderr)
         return 2
     text = Path(args.config).read_text() if args.config else preset_text(args.preset)
-    try:
-        config = parse_config(text)
-    except ConfigError as exc:
-        print(f"invalid config:\n{exc}", file=sys.stderr)
-        return 1
+    config = parse_config(text)
     if config.kind != args.command:
         print(
             f"config declares experiment {config.kind!r} but was passed to {args.command!r}",

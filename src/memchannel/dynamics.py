@@ -7,16 +7,19 @@ cavity mode is damped at rate gamma by the standard zero-temperature
 Lindblad dissipator at all times.  Reference qubits (or any other
 spectator factors) ride along untouched.
 
-Integration is fixed-step fourth-order Runge-Kutta on the density matrix,
-re-symmetrized after every step.  Because the cavity starts in its ground
-state and the coupling conserves total excitation number, a Fock cutoff of
-n_uses plus one guard level is exact; the guard level's population is
-checked against 1e-10 on every run.
+Within a window the Lindblad generator does not depend on time, so each
+window is one exact process map: the matrix exponential of its Liouvillian
+(scaling and squaring of a degree-20 Taylor series).  A map is built only
+on the factors its window acts on: a transit on (Qk, O), an idle window of
+pure damping on O alone.  References and the other qubits are spectators,
+and one einsum applies a map to a whole stack of states.  Because the
+cavity starts in its ground state and the coupling conserves total
+excitation number, a Fock cutoff of n_uses plus one guard level is exact;
+the guard level's population is checked against 1e-10 after every use.
 
-Windows with the coupling off evolve only under the dissipator, whose
-slowest rate is gamma/2, so they are integrated with a step tied to the
-damping time (idle_dt, default 0.005/gamma) rather than the much smaller
-transit step dt.  Both steps halve together in convergence checks.
+``ChannelSchedule.dt`` and ``idle_dt`` are kept as schedule fields, config
+keys and CSV columns, but nothing steps any more: they choose no step and
+do not change any result.
 """
 
 from __future__ import annotations
@@ -66,9 +69,9 @@ class ChannelSchedule:
     fock_cutoff : highest Fock level kept; oscillator dimension is cutoff+1.
         Defaults to n_uses + 1 so the top level is a guard that must stay
         empty.  Must be at least n_uses (total excitation never exceeds it).
-    dt       : integrator step for transit windows;
+    dt       : recorded transit step, unused since every window is an exact map;
         defaults to min(tau_p, 1/gamma, 1/lam)/1000 and must be <= tau_p/100
-    idle_dt  : integrator step for damping-only windows; defaults to 0.005/gamma
+    idle_dt  : recorded damping-only step, likewise unused; defaults to 0.005/gamma
     dephase_between_uses : if True, kill all oscillator Fock coherences after
         each use except the last
     """
@@ -161,7 +164,7 @@ def lindblad_rhs(
     """Right-hand side -i[H, rho] + gamma (a rho a^dag - {a^dag a, rho}/2).
 
     Reference implementation built from the explicit jump operator; the
-    integrator's optimized inner loop is tested against it.
+    window generator is tested against it.
     """
     layout = layout or rho.layout
     op = rho.op
@@ -169,13 +172,7 @@ def lindblad_rhs(
         H = np.asarray(H)
         if H.shape != op.shape:
             raise ValueError(f"Hamiltonian shape {H.shape} does not match state {op.shape}")
-    o_pos = layout.index(OSC_LABEL)
-    a_full = kron_chain(
-        [
-            lowering_op(dim) if i == o_pos else np.eye(dim, dtype=complex)
-            for i, (lbl, dim) in enumerate(layout.factors)
-        ]
-    )
+    a_full = _jump_operator(layout)
     out = np.zeros_like(op)
     if H is not None:
         out += -1j * (H @ op - op @ H)
@@ -185,97 +182,97 @@ def lindblad_rhs(
     return out
 
 
-class _WindowEngine:
-    """Fixed-step RK4 for stacks of operators on a layout with the oscillator last.
+def _jump_operator(layout: SpaceLayout) -> np.ndarray:
+    """Oscillator lowering operator on the whole layout."""
+    o_pos = layout.index(OSC_LABEL)
+    return kron_chain(
+        [lowering_op(dim) if i == o_pos else np.eye(dim) for i, (_, dim) in enumerate(layout.factors)]
+    )
 
-    The dissipator is applied without forming the jump operator: with the
-    oscillator as the trailing factor, a rho a^dag is a masked one-step
-    diagonal shift of the matrix, and {a^dag a, rho} is an element-wise
-    weight.  Transit windows then need two matrix products per evaluation
-    (K rho + rho K^dag with K = -iH - gamma/2 a^dag a); idle windows need
-    none.
+
+def _liouvillian(layout: SpaceLayout, H: np.ndarray | None, gamma: float) -> np.ndarray:
+    """Generator of ``lindblad_rhs`` on row-major vec(rho): vec(A X B) = (A kron B^T) vec(X)."""
+    eye = np.eye(layout.dim)
+    a = _jump_operator(layout)
+    n = a.conj().T @ a
+    out = gamma * (np.kron(a, a.conj()) - 0.5 * np.kron(n, eye) - 0.5 * np.kron(eye, n.T))
+    if H is not None:
+        out = out - 1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    return out
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp(m) by scaling and squaring a degree-20 Taylor series."""
+    norm = np.abs(m).sum(axis=0).max()
+    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0 else 0
+    a = m / 2.0**s
+    out = np.eye(len(m), dtype=complex)
+    term = out
+    for k in range(1, 21):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _window_map(
+    layout: SpaceLayout, H: np.ndarray | None, gamma: float, duration: float
+) -> np.ndarray:
+    """Exact process map S[a, b, i, j] of one window on ``layout``.
+
+    The window's output of ``rho`` is ``einsum('abij,ij->ab', S, rho)``.
     """
+    if duration < 0:
+        raise ValueError("duration must be nonnegative")
+    d = layout.dim
+    return _expm(_liouvillian(layout, H, gamma) * duration).reshape(d, d, d, d)
 
-    def __init__(self, layout: SpaceLayout, gamma: float):
-        if layout.factors[-1][0] != OSC_LABEL:
-            raise ValueError("oscillator factor must be the last tensor factor")
-        self.layout = layout
-        self.gamma = gamma
-        self.d = layout.dim
-        self.f = layout.factors[-1][1]
-        n_full = np.tile(np.arange(self.f, dtype=float), self.d // self.f)
-        self._n_full = n_full
-        self._decay = -(gamma / 2.0) * (n_full[:, None] + n_full[None, :])
-        s = np.concatenate([np.sqrt(np.arange(1.0, self.f)), [0.0]])
-        s_full = np.tile(s, self.d // self.f)
-        self._jump = gamma * (s_full[:, None] * s_full[None, :])
 
-    def drift(self, H: np.ndarray | None) -> np.ndarray | None:
-        if H is None:
-            return None
-        return -1j * H - (self.gamma / 2.0) * np.diag(self._n_full)
+def _apply(
+    S: np.ndarray, stack: np.ndarray, layout: SpaceLayout, acted_labels: Sequence[str]
+) -> np.ndarray:
+    """Apply a process map to the named factors of every operator in a stack.
 
-    def _rhs(self, x, K, KH, out, buf):
-        buf.fill(0.0)
-        buf[..., :-1, :-1] = x[..., 1:, 1:]
-        buf *= self._jump  # gamma * a x a^dag, boundary rows masked to zero
-        if K is None:
-            np.multiply(self._decay, x, out=out)
-            out += buf
-        else:
-            np.matmul(x, KH, out=out)
-            out += buf
-            np.matmul(K, x, out=buf)
-            out += buf
-        return out
+    ``stack`` has shape (batch, d, d) over ``layout``; ``acted_labels`` lists
+    the factors in the order the map was built over.  Every other factor is
+    a spectator.
+    """
+    dims = layout.dims
+    n = len(dims)
+    positions = [layout.index(lbl) for lbl in acted_labels]
+    acted_dims = [dims[p] for p in positions]
+    d_act = int(np.prod(acted_dims))
+    if S.shape != (d_act, d_act, d_act, d_act):
+        raise ValueError(f"map shape {S.shape} incompatible with acted dims {acted_dims}")
+    m = len(positions)
+    batch = 2 * n + 2 * m  # subscript of the leading stack axis
+    rho_sub = [batch] + list(range(2 * n))
+    s_sub = (
+        [2 * n + k for k in range(m)]
+        + [2 * n + m + k for k in range(m)]
+        + [positions[k] for k in range(m)]
+        + [n + positions[k] for k in range(m)]
+    )
+    out_sub = list(rho_sub)
+    for k, p in enumerate(positions):
+        out_sub[1 + p] = 2 * n + k
+        out_sub[1 + n + p] = 2 * n + m + k
+    rho_t = stack.reshape((len(stack),) + dims + dims)
+    out = np.einsum(rho_t, rho_sub, S.reshape(tuple(acted_dims) * 4), s_sub, out_sub)
+    return np.ascontiguousarray(out.reshape(stack.shape))
 
-    def _step(self, x, h, K, KH, bufs):
-        k1, k2, k3, k4, tmp, buf = bufs
-        self._rhs(x, K, KH, k1, buf)
-        np.multiply(k1, 0.5 * h, out=tmp)
-        tmp += x
-        self._rhs(tmp, K, KH, k2, buf)
-        np.multiply(k2, 0.5 * h, out=tmp)
-        tmp += x
-        self._rhs(tmp, K, KH, k3, buf)
-        np.multiply(k3, h, out=tmp)
-        tmp += x
-        self._rhs(tmp, K, KH, k4, buf)
-        np.add(k2, k3, out=k2)
-        np.add(k1, k4, out=k1)
-        k1 += 2.0 * k2
-        np.multiply(k1, h / 6.0, out=tmp)
-        x += tmp
-        # re-symmetrize to suppress hermiticity drift
-        np.conjugate(x.swapaxes(-1, -2), out=tmp)
-        x += tmp
-        x *= 0.5
-        return x
 
-    def evolve(self, stack: np.ndarray, H: np.ndarray | None, duration: float, dt: float) -> np.ndarray:
-        if duration < 0:
-            raise ValueError("duration must be nonnegative")
-        if duration == 0 or (H is None and self.gamma == 0):
-            return stack
-        K = self.drift(H)
-        KH = K.conj().T if K is not None else None
-        bufs = tuple(np.empty_like(stack) for _ in range(6))
-        n_steps = int(math.floor(duration / dt + 1e-9))
-        remainder = max(duration - n_steps * dt, 0.0)
-        x = stack.copy()
-        for _ in range(n_steps):
-            x = self._step(x, dt, K, KH, bufs)
-        if remainder > 1e-9 * dt:  # shortened final step lands on duration
-            x = self._step(x, remainder, K, KH, bufs)
-        return x
+def _ground(osc_dim: int) -> np.ndarray:
+    ground = np.zeros((osc_dim, osc_dim), dtype=complex)
+    ground[0, 0] = 1.0
+    return ground
 
 
 def _with_oscillator(rho: DensityMatrix, osc_dim: int) -> tuple[np.ndarray, SpaceLayout]:
     if OSC_LABEL in rho.layout.labels:
         raise ValueError("input state already contains an oscillator factor")
-    ground = np.zeros((osc_dim, osc_dim), dtype=complex)
-    ground[0, 0] = 1.0
-    return np.kron(rho.op, ground), rho.layout.extended(OSC_LABEL, osc_dim)
+    return np.kron(rho.op, _ground(osc_dim)), rho.layout.extended(OSC_LABEL, osc_dim)
 
 
 def _guard_population(op: np.ndarray, f: int) -> float:
@@ -286,14 +283,10 @@ def _guard_population(op: np.ndarray, f: int) -> float:
 def _check_states(stack: np.ndarray, layout: SpaceLayout, schedule: ChannelSchedule, where: str):
     tr_dev = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0).max()
     if tr_dev > TRACE_CHECK:
-        raise IntegrationError(
-            f"trace deviates by {tr_dev:.3e} {where} (step too large?)"
-        )
+        raise IntegrationError(f"trace deviates by {tr_dev:.3e} {where}")
     min_eig = np.linalg.eigvalsh(stack).min()
     if min_eig < -EIG_CHECK:
-        raise IntegrationError(
-            f"negative eigenvalue {min_eig:.3e} {where} (step too large?)"
-        )
+        raise IntegrationError(f"negative eigenvalue {min_eig:.3e} {where}")
     if schedule.fock_cutoff > schedule.n_uses:
         guard = _guard_population(stack, layout.factors[-1][1])
         if guard > GUARD_CHECK:
@@ -318,18 +311,23 @@ def _run_stack(
     extra_idle_windows: int,
     check: bool,
 ) -> np.ndarray:
-    engine = _WindowEngine(layout, schedule.gamma)
-    idle = schedule.tau - schedule.tau_p
+    # the oscillator is the last factor of ``layout``
+    osc = SpaceLayout([layout.factors[-1]])
+    idle = _window_map(osc, None, schedule.gamma, schedule.tau - schedule.tau_p)
     for k in range(schedule.n_uses):
-        H = jc_hamiltonian(f"Q{k + 1}", layout, schedule.lam)
-        stack = engine.evolve(stack, H, schedule.tau_p, schedule.dt)
-        stack = engine.evolve(stack, None, idle, schedule.idle_dt)
+        transit = layout.restricted_to([f"Q{k + 1}", OSC_LABEL])
+        H = jc_hamiltonian(f"Q{k + 1}", transit, schedule.lam)
+        S = _window_map(transit, H, schedule.gamma, schedule.tau_p)
+        stack = _apply(S, stack, layout, transit.labels)
+        stack = _apply(idle, stack, layout, osc.labels)
         if schedule.dephase_between_uses and k < schedule.n_uses - 1:
-            stack = _dephase_stack(stack, engine.f)
+            stack = _dephase_stack(stack, osc.dim)
         if check:
             _check_states(stack, layout, schedule, f"after use {k + 1}")
+    if extra_idle_windows:  # a whole separation tau with no qubit in the cavity
+        idle = _window_map(osc, None, schedule.gamma, schedule.tau)
     for j in range(extra_idle_windows):
-        stack = engine.evolve(stack, None, schedule.tau, schedule.idle_dt)
+        stack = _apply(idle, stack, layout, osc.labels)
         if check:
             _check_states(stack, layout, schedule, f"after idle window {j + 1}")
     return stack
@@ -385,23 +383,24 @@ def run_ensemble(
 def evolve_window(
     rho: DensityMatrix, schedule: ChannelSchedule, H: np.ndarray | None, duration: float
 ) -> DensityMatrix:
-    """Integrate one window of duration ``duration`` with step ``schedule.dt``.
+    """Evolve ``rho`` exactly through one window of length ``duration``.
 
     ``H`` is the (full-space) Hamiltonian for the window, or None for a
-    damping-only window.  The final partial step is shortened to land
-    exactly on ``duration``.  Fails with diagnostics if the output violates
-    density-matrix invariants beyond 1e-8.
+    damping-only window; the damping rate is ``schedule.gamma``.  The map
+    is the exponential of the window's Liouvillian on the whole layout of
+    ``rho``, and ``schedule.dt`` is not used.  Fails with diagnostics if the
+    output violates density-matrix invariants beyond 1e-8.
     """
     if OSC_LABEL not in rho.layout.labels:
         raise ValueError("evolve_window expects a state that includes the oscillator")
-    engine = _WindowEngine(rho.layout, schedule.gamma)
-    out = engine.evolve(rho.op[None], H, duration, schedule.dt)[0]
+    S = _window_map(rho.layout, H, schedule.gamma, duration)
+    out = _apply(S, rho.op[None], rho.layout, rho.layout.labels)[0]
     tr_dev = abs(out.trace() - 1.0)
     min_eig = np.linalg.eigvalsh(out).min()
     if tr_dev > 1e-8 or min_eig < -1e-8:
         raise IntegrationError(
             f"window output invalid: |tr-1|={tr_dev:.3e}, min eig={min_eig:.3e} "
-            "(step too large or Fock cutoff too small)"
+            "(Fock cutoff too small?)"
         )
     return DensityMatrix.trusted(out, rho.layout)
 
@@ -430,32 +429,8 @@ def pi0_reset(rho: DensityMatrix) -> DensityMatrix:
     f = layout.dim_of(OSC_LABEL)
     keep = [lbl for lbl in layout.labels if lbl != OSC_LABEL]
     reduced = partial_trace(rho.op, layout, keep)
-    ground = np.zeros((f, f), dtype=complex)
-    ground[0, 0] = 1.0
     out_layout = layout.restricted_to(keep).extended(OSC_LABEL, f)
-    return DensityMatrix.trusted(np.kron(reduced, ground), out_layout)
-
-
-def _hermitian_basis(d: int) -> tuple[np.ndarray, list[tuple[int, int, str]]]:
-    """Hermitian operator basis of the d x d matrices, with unit tags."""
-    ops, tags = [], []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        ops.append(e)
-        tags.append((i, i, "p"))
-    for i in range(d):
-        for j in range(i + 1, d):
-            x = np.zeros((d, d), dtype=complex)
-            x[i, j] = x[j, i] = 1.0
-            ops.append(x)
-            tags.append((i, j, "x"))
-            y = np.zeros((d, d), dtype=complex)
-            y[i, j] = -1j
-            y[j, i] = 1j
-            ops.append(y)
-            tags.append((i, j, "y"))
-    return np.stack(ops), tags
+    return DensityMatrix.trusted(np.kron(reduced, _ground(f)), out_layout)
 
 
 def channel_superoperator(
@@ -465,33 +440,19 @@ def channel_superoperator(
 
     Returns S with shape (d_out, d_out, d_in, d_in) where d_in = 2**n_uses,
     such that the channel output of ``rho`` is
-    ``einsum('abij,ij->ab', S, rho)``.  Obtained by evolving a Hermitian
-    operator basis of the input space through the schedule (the evolution
-    is linear, so this is plain process tomography).  With
-    ``keep_oscillator`` the output space includes the oscillator factor.
+    ``einsum('abij,ij->ab', S, rho)``.  The evolution is linear, so column
+    (i, j) of S is the output of the matrix unit |i><j| (x) |0><0|; the d_in^2
+    units run through the schedule as one stack.  With ``keep_oscillator``
+    the output space includes the oscillator factor.
     """
-    d_in = 2**schedule.n_uses
-    basis, tags = _hermitian_basis(d_in)
-    qubit_layout = SpaceLayout([(lbl, 2) for lbl in schedule.qubit_labels()])
-    layout = qubit_layout.extended(OSC_LABEL, schedule.osc_dim)
-    ground = np.zeros((schedule.osc_dim, schedule.osc_dim), dtype=complex)
-    ground[0, 0] = 1.0
-    stack = np.stack([np.kron(b, ground) for b in basis])
-    stack = _run_stack(stack, layout, schedule, 0, check=False)
+    d_in, f = 2**schedule.n_uses, schedule.osc_dim
+    layout = SpaceLayout([(lbl, 2) for lbl in schedule.qubit_labels()]).extended(OSC_LABEL, f)
+    units = np.eye(d_in * d_in).reshape(-1, d_in, d_in)  # |i><j| at index i d_in + j
+    stack = _run_stack(np.kron(units, _ground(f)), layout, schedule, 0, check=False)
+    out = stack.reshape(d_in, d_in, d_in * f, d_in * f)
     if not keep_oscillator:
-        keep = list(qubit_layout.labels)
-        stack = np.stack([partial_trace(op, layout, keep) for op in stack])
-    d_out = stack.shape[-1]
-    S = np.zeros((d_out, d_out, d_in, d_in), dtype=complex)
-    outs = {tag: op for tag, op in zip(tags, stack)}
-    for i in range(d_in):
-        S[:, :, i, i] = outs[(i, i, "p")]
-        for j in range(i + 1, d_in):
-            ex = outs[(i, j, "x")]
-            ey = outs[(i, j, "y")]
-            S[:, :, i, j] = 0.5 * (ex + 1j * ey)
-            S[:, :, j, i] = 0.5 * (ex - 1j * ey)
-    return S
+        out = out.reshape(d_in, d_in, d_in, f, d_in, f).trace(axis1=3, axis2=5)
+    return np.ascontiguousarray(out.transpose(2, 3, 0, 1))
 
 
 def apply_channel_map(
@@ -504,39 +465,13 @@ def apply_channel_map(
     reference factors keep their positions and the output layout equals the
     input layout.
     """
-    layout = rho.layout
-    dims = layout.dims
-    n = len(dims)
-    positions = [layout.index(lbl) for lbl in acted_labels]
-    acted_dims = [dims[p] for p in positions]
-    d_act = int(np.prod(acted_dims))
-    if S.shape != (d_act, d_act, d_act, d_act):
-        raise ValueError(f"map shape {S.shape} incompatible with acted dims {acted_dims}")
-    m = len(positions)
-    S_t = S.reshape(tuple(acted_dims) * 4)
-    rho_t = rho.op.reshape(dims + dims)
-    rho_sub = list(range(2 * n))
-    s_sub = (
-        [2 * n + k for k in range(m)]
-        + [2 * n + m + k for k in range(m)]
-        + [positions[k] for k in range(m)]
-        + [n + positions[k] for k in range(m)]
-    )
-    out_sub = list(range(2 * n))
-    for k, p in enumerate(positions):
-        out_sub[p] = 2 * n + k
-        out_sub[n + p] = 2 * n + m + k
-    out = np.einsum(rho_t, rho_sub, S_t, s_sub, out_sub)
-    d = layout.dim
-    return DensityMatrix.trusted(np.ascontiguousarray(out.reshape(d, d)), layout)
+    return DensityMatrix.trusted(_apply(S, rho.op[None], rho.layout, acted_labels)[0], rho.layout)
 
 
 def apply_channel_to_ensemble(S: np.ndarray, ensemble: Ensemble) -> Ensemble:
     """Push every ensemble member through a process map with no spectators."""
-    if S.shape[0] != S.shape[2] or S.shape[2] != ensemble.layout.dim:
-        raise ValueError("process map must be square over the ensemble's space")
-    members = []
-    for w, dm in ensemble.members:
-        out = np.einsum("abij,ij->ab", S, dm.op)
-        members.append((w, DensityMatrix.trusted(np.ascontiguousarray(out), dm.layout)))
-    return Ensemble(tuple(members))
+    layout = ensemble.layout
+    stack = _apply(S, np.stack([dm.op for _, dm in ensemble.members]), layout, layout.labels)
+    return Ensemble(
+        tuple((w, DensityMatrix.trusted(op, layout)) for (w, _), op in zip(ensemble.members, stack))
+    )

@@ -1,8 +1,8 @@
 """The numerical studies: sweeps, optimizations, and bound checks.
 
-Each routine here drives the integrator over a parameter grid and reduces
-the evolved states to entropic summaries.  Grid points are independent;
-records are returned in grid order.  Every sweep also carries its
+Each routine here drives the channel dynamics over a parameter grid and
+reduces the evolved states to entropic summaries.  Grid points are
+independent; records are returned in grid order.  Every sweep also carries its
 memoryless baseline, always evaluated at the damping-dependent channel
 parameter eta(gamma) so the baseline includes damping during the transit.
 """
@@ -10,7 +10,7 @@ parameter eta(gamma) so the baseline includes damping during the transit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -173,35 +173,6 @@ def holevo_sweep(
     return records
 
 
-def _coarse_plus_golden(
-    f: Callable[[float], float], lo: float, hi: float, coarse: float, xtol: float
-) -> tuple[float, float]:
-    grid = np.arange(lo, hi + coarse / 2, coarse)
-    vals = np.array([f(x) for x in grid])
-    i = int(np.argmax(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    fx = f(x)
-    # flat objectives resolve to the smaller parameter
-    if f(a) >= fx - 1e-12:
-        return float(a), f(a)
-    return float(x), fx
-
-
 def optimize_input(
     schedule: ChannelSchedule,
     quantity: str,
@@ -209,9 +180,9 @@ def optimize_input(
 ) -> tuple[float, float]:
     """Maximize Ic(p) or chi(p) of the two-use run at a fixed schedule.
 
-    The channel is tomographed once (the map does not depend on the input)
-    and the objective is then evaluated by contraction, so the coarse grid
-    plus golden-section refinement costs a single integration.
+    The channel map is built once (it does not depend on the input) and
+    the objective is then evaluated by contraction, so the coarse grid plus
+    golden-section refinement costs a single run of the schedule.
     Returns (p_opt, value at p_opt).
     """
     if quantity not in ("coherent", "holevo"):
@@ -233,8 +204,12 @@ def optimize_input(
             outs = apply_channel_to_ensemble(S, holevo_separable_ensemble(p))
             return holevo_information(outs).chi
 
-    lo, hi = bounds
-    return _coarse_plus_golden(objective, lo, hi, 0.01, 1e-5)
+    _, _, a, b = admap.golden_section_max(objective, *bounds, 0.01, 1e-5)
+    x = 0.5 * (a + b)
+    fx, fa = objective(x), objective(a)
+    if fa >= fx - 1e-12:  # flat objectives resolve to the smaller parameter
+        return float(a), fa
+    return float(x), fx
 
 
 @dataclass(frozen=True)
@@ -253,7 +228,7 @@ def theta_sweep(
 ) -> list[ThetaRecord]:
     """Holevo information of the interpolating ensemble over theta and tau.
 
-    One channel tomography per tau; all theta points are contractions.
+    One channel map per tau; all theta points are contractions.
     Records are ordered tau-major, theta-minor.
     """
     if theta_grid is None:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from memchannel import cli
 from memchannel.cli import (
     ConfigError,
     ExperimentConfig,
@@ -25,6 +26,27 @@ p = 0.4751
 tau_offsets = 0, 2
 output = tiny.csv
 """
+
+
+SMALL_THETA = """
+experiment = theta-sweep
+lambda = 1
+tau_p = 0.464
+gamma = 0.5
+p_tilde = 0.4339
+theta_grid = 0:pi/8:pi/2
+tau_offset_list = 0
+output = theta.csv
+"""
+
+# the keys each two-use kind needs besides the schedule
+TWO_USE_EXTRAS = {
+    "coherent-sweep": "p = 0.4751",
+    "holevo-sweep": "p_tilde = 0.4339",
+    "optimize": "quantity = holevo",
+    "theta-sweep": "p_tilde = 0.4339",
+    "dephasing": "quantity = holevo\np_tilde = 0.4339",
+}
 
 
 def read_csv(path):
@@ -85,6 +107,21 @@ def test_parse_config_rejects_unknown_kind_and_foreign_keys():
         parse_config(MINIMAL_COHERENT + "\ntheta_grid = 0:1:2\n")
     with pytest.raises(ConfigError, match="requires key"):
         parse_config("experiment = capacity\n")
+
+
+@pytest.mark.parametrize("p_tilde", ["0", "1"])
+def test_parse_config_rejects_degenerate_theta_codewords(p_tilde):
+    # at p_tilde 0 or 1 the two codewords coincide and theta_ensemble has no basis
+    with pytest.raises(ConfigError, match="p_tilde must lie in \\(0, 1\\) for theta-sweep"):
+        parse_config(SMALL_THETA.replace("p_tilde = 0.4339", f"p_tilde = {p_tilde}"))
+
+
+@pytest.mark.parametrize("kind", sorted(TWO_USE_EXTRAS))
+def test_parse_config_rejects_n_uses_other_than_two_for_two_use_kinds(kind):
+    text = f"experiment = {kind}\nlambda = 1\ntau_p = 0.464\ngamma = 0.5\n{TWO_USE_EXTRAS[kind]}\n"
+    assert parse_config(text + "n_uses = 2\n").kind == kind
+    with pytest.raises(ConfigError, match=f"experiment '{kind}' reports two-use quantities"):
+        parse_config(text + "n_uses = 3\n")
 
 
 def test_run_coherent_sweep_writes_csv_and_summary(tmp_path):
@@ -180,17 +217,7 @@ eta_grid = 0.4, 0.95, 1.0
 
 
 def test_run_theta_sweep_small(tmp_path):
-    text = """
-experiment = theta-sweep
-lambda = 1
-tau_p = 0.464
-gamma = 0.5
-p_tilde = 0.4339
-theta_grid = 0:pi/8:pi/2
-tau_offset_list = 0
-output = theta.csv
-"""
-    assert run(parse_config(text), tmp_path) == 0
+    assert run(parse_config(SMALL_THETA), tmp_path) == 0
     _, rows = read_csv(tmp_path / "theta.csv")
     assert len(rows) == 5
     chis = [float(r["chi"]) for r in rows]
@@ -251,3 +278,30 @@ def test_main_dt_override(tmp_path):
 def test_config_schedule_requires_one_source(capsys, tmp_path):
     assert main(["coherent-sweep", "--outdir", str(tmp_path)]) == 2
     assert "exactly one" in capsys.readouterr().err
+
+
+def test_main_reports_missing_config_file_in_one_line(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cfg")
+    for argv in (["coherent-sweep", "--config", missing, "--outdir", str(tmp_path)],
+                 ["validate", "--config", missing]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ") and err.count("\n") == 1
+
+
+def test_main_reports_unknown_preset_in_one_line(tmp_path, capsys):
+    assert main(["coherent-sweep", "--preset", "no-such", "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError: no preset named 'no-such'")
+    assert err.count("\n") == 1
+
+
+def test_main_reports_run_failure_in_one_line(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("no memory left")
+
+    monkeypatch.setattr(cli, "run", fail)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL_COHERENT)
+    assert main(["coherent-sweep", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: RuntimeError: no memory left\n"

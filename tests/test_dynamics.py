@@ -135,23 +135,32 @@ def test_lindblad_rhs_traceless():
     assert abs(np.trace(lindblad_rhs(rho, H, 0.8))) < 1e-14
 
 
-def test_engine_rhs_matches_reference():
-    # the optimized stepper inner loop against the explicit jump-operator form
-    from memchannel.dynamics import _WindowEngine
+def test_liouvillian_matches_lindblad_rhs():
+    # the window generator against the explicit jump-operator form
+    from memchannel.dynamics import _liouvillian
 
     rng = np.random.default_rng(32)
     lay = SpaceLayout([("Q1", 2), ("Q2", 2), ("O", 4)])
     rho = DensityMatrix(random_state(rng, 16), lay)
-    H = jc_hamiltonian("Q1", lay, 1.1)
-    engine = _WindowEngine(lay, 0.6)
-    K = engine.drift(H)
-    out = np.empty_like(rho.op[None])
-    buf = np.empty_like(rho.op[None])
-    engine._rhs(rho.op[None], K, K.conj().T, out, buf)
-    assert np.abs(out[0] - lindblad_rhs(rho, H, 0.6)).max() < 1e-12
-    # idle form (no Hamiltonian)
-    engine._rhs(rho.op[None], None, None, out, buf)
-    assert np.abs(out[0] - lindblad_rhs(rho, None, 0.6)).max() < 1e-12
+    for H in (jc_hamiltonian("Q1", lay, 1.1), None):  # transit and idle forms
+        out = (_liouvillian(lay, H, 0.6) @ rho.op.ravel()).reshape(16, 16)
+        assert np.abs(out - lindblad_rhs(rho, H, 0.6)).max() < 1e-12
+
+
+def rk4_on_rhs(rho, H, gamma, duration, steps):
+    """Fixed-step classical Runge-Kutta on lindblad_rhs: an oracle with no matrix exponential."""
+    def f(x):
+        return lindblad_rhs(DensityMatrix.trusted(x, rho.layout), H, gamma)
+
+    h = duration / steps
+    x = rho.op
+    for _ in range(steps):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +189,17 @@ def test_evolve_window_zero_duration():
     assert np.array_equal(out.op, rho.op)
 
 
+def test_evolve_window_matches_rk4():
+    sched = ChannelSchedule(lam=1.0, tau_p=0.464, tau=1.0, gamma=0.5, n_uses=1)
+    lay = SpaceLayout([("Q1", 2), ("O", sched.osc_dim)])
+    rho = DensityMatrix(random_state(np.random.default_rng(38), lay.dim), lay)
+    H = jc_hamiltonian("Q1", lay, sched.lam)
+    for window_H, duration in ((H, sched.tau_p), (None, sched.tau - sched.tau_p)):
+        exact = evolve_window(rho, sched, window_H, duration).op
+        stepped = rk4_on_rhs(rho, window_H, sched.gamma, duration, 1000)
+        assert np.abs(exact - stepped).max() < 1e-12
+
+
 def test_single_use_matches_analytic_map():
     gamma, lam, tau_p = 0.5, 1.0, 0.464
     sched = ChannelSchedule(lam=lam, tau_p=tau_p, tau=tau_p, gamma=gamma, n_uses=1)
@@ -188,7 +208,7 @@ def test_single_use_matches_analytic_map():
     h = transit_amplitude(gamma, lam, tau_p)
     p, r = 0.37, 0.21
     expected = np.array([[1 - p * h * h, r * h], [r * h, p * h * h]])
-    assert np.abs(out.op - expected).max() < 1e-6
+    assert np.abs(out.op - expected).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
